@@ -28,6 +28,7 @@ import (
 	"ace/internal/gen"
 	"ace/internal/guard"
 	"ace/internal/hext"
+	"ace/internal/netlist"
 	"ace/internal/prof"
 	"ace/internal/raster"
 	"ace/internal/wirelist"
@@ -74,8 +75,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer stop()
 
+	// Run functions return their exit code rather than calling os.Exit,
+	// so the profiles are written whatever the outcome.
+	code := cli.ExitOK
 	switch {
 	case *benchIn != "":
 		runBenchIngestJSON(*benchIn, *scale)
@@ -86,7 +89,7 @@ func main() {
 	case *benchWrm != "":
 		runBenchWarmJSON(*benchWrm, *scale)
 	case flagTiles != "":
-		runExtractTiles(*out, *geometry, *stats, *profile)
+		code = runExtractTiles(*out, *geometry, *stats, *profile)
 	case *table51:
 		runTable51(*scale)
 	case *table52:
@@ -98,23 +101,29 @@ func main() {
 	case *model:
 		runModel()
 	default:
-		runExtract(flag.Arg(0), *out, *geometry, *stats, *profile)
+		code = runExtract(flag.Arg(0), *out, *geometry, *stats, *profile)
 	}
+	stop()
+	os.Exit(code)
 }
 
 func fatal(err error) {
 	cli.Fatal("ace", err)
 }
 
-func runExtract(in, out string, geometry, stats, profile bool) {
+func fail(err error) int {
+	return cli.Fail("ace", err)
+}
+
+func runExtract(in, out string, geometry, stats, profile bool) int {
 	if flagWindow != "" {
-		fatal(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
+		return fail(fmt.Errorf("-window requires -tiles: windowed queries read a packed tile file"))
 	}
 	r := os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
@@ -122,8 +131,7 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 	ctx, cancel := extractCtx()
 	defer cancel()
 	if flagHier || flagCacheDir != "" {
-		runExtractHier(ctx, r, in, out, geometry, stats)
-		return
+		return runExtractHier(ctx, r, in, out, geometry, stats)
 	}
 	opt := extract.Options{
 		KeepGeometry:   geometry,
@@ -142,21 +150,21 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		// the last result is the one reported and written out.
 		src, rerr := io.ReadAll(r)
 		if rerr != nil {
-			fatal(rerr)
+			return fail(rerr)
 		}
 		eng := extract.NewEngine()
 		for i := 0; i < flagRepeat; i++ {
 			it0 := time.Now()
 			res, err = eng.ReaderContext(ctx, bytes.NewReader(src), opt)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			recordIter(time.Since(it0))
 		}
 	} else {
 		res, err = extract.ReaderContext(ctx, r, opt)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	elapsed := time.Since(t0)
@@ -169,7 +177,7 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 		// The unified renderer covers warnings too; the legacy per-line
 		// warning echo would duplicate them.
 		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, w := range res.Warnings {
@@ -199,39 +207,25 @@ func runExtract(in, out string, geometry, stats, profile bool) {
 				p.Parse, p.FrontEnd, p.Insert, p.Devices, p.Output, p.Misc(), p.Total)
 		}
 		printResourceStats(res.Tile)
-		if profile {
-			writeRunStats("cif", res, elapsed)
-			os.Exit(cli.Exit(&res.Diagnostics))
-		}
 	}
-
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if !stats && !(flagDiagJSON && out == "") {
+	if !stats && !profile && !(flagDiagJSON && out == "") {
 		// With -diag-json the JSON report owns stdout; the wirelist is
 		// written only when -o directs it elsewhere.
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{Geometry: geometry}); err != nil {
-			fatal(err)
+		if err := writeWirelist(out, res.Netlist, geometry); err != nil {
+			return fail(err)
 		}
 	}
-	writeRunStats("cif", res, elapsed)
-	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
-		os.Exit(code)
+	if err := writeRunStats("cif", res, elapsed); err != nil {
+		return fail(err)
 	}
+	return cli.Exit(&res.Diagnostics)
 }
 
 // runExtractHier is runExtract delegated to the hierarchical engine:
 // same flat wirelist, same diagnostics rendering and exit-code
 // taxonomy, but windows are memoised — and, with -cache-dir, persisted
 // across processes.
-func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, stats bool) {
+func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, stats bool) int {
 	if geometry {
 		fmt.Fprintln(os.Stderr, "ace: warning: -g is not supported with -hier; geometry omitted")
 	}
@@ -250,21 +244,21 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 			Limits: hopt.Limits, Lenient: hopt.Lenient, Diag: hopt.Diag,
 		})
 		if perr != nil {
-			fatal(perr)
+			return fail(perr)
 		}
 		s := hext.NewSession(hopt)
 		for i := 0; i < flagRepeat; i++ {
 			it0 := time.Now()
 			res, err = s.ExtractContext(ctx, f)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			recordIter(time.Since(it0))
 		}
 	} else {
 		res, err = hext.ReaderContext(ctx, r, hopt)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
 	if flagCheck {
@@ -273,7 +267,7 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 	}
 	if flagLenient || flagCheck || flagDiagJSON {
 		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, w := range res.Warnings {
@@ -293,23 +287,20 @@ func runExtractHier(ctx context.Context, r io.Reader, in, out string, geometry, 
 			c.UniqueWindows, c.MemoHits, c.DiskHits, c.DiskMisses, c.DiskErrors, c.DiskPutErrors)
 		printResourceStats(nil)
 	}
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
 	if !stats && !(flagDiagJSON && out == "") {
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{}); err != nil {
-			fatal(err)
+		if err := writeWirelist(out, res.Netlist, false); err != nil {
+			return fail(err)
 		}
 	}
-	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
-		os.Exit(code)
-	}
+	return cli.Exit(&res.Diagnostics)
+}
+
+// writeWirelist writes the flat wirelist to the -o path, or to stdout
+// when out is empty (see cli.WriteOutput).
+func writeWirelist(out string, nl *netlist.Netlist, geometry bool) error {
+	return cli.WriteOutput(out, func(w io.Writer) error {
+		return wirelist.Write(w, nl, wirelist.Options{Geometry: geometry})
+	})
 }
 
 // runTable51 reproduces ACE Table 5-1: per chip, devices, boxes,
@@ -477,5 +468,5 @@ func drainBoxes(f *cif.File) ([]frontend.Box, []frontend.Label) {
 func round(d time.Duration) string { return d.Round(time.Millisecond).String() }
 
 func hostLine() string {
-	return fmt.Sprintf("go %s on %s/%s", runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	return fmt.Sprintf("%s on %s/%s, %d CPUs", runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -14,7 +15,6 @@ import (
 	"ace/internal/guard"
 	"ace/internal/prof"
 	"ace/internal/tile"
-	"ace/internal/wirelist"
 )
 
 // flagTiles selects the out-of-core source: a packed tile file (see
@@ -54,9 +54,9 @@ type runStats struct {
 // writeRunStats emits the -stats-json file. Peak RSS is sampled here,
 // after the wirelist has been written, so the number covers the whole
 // run including output.
-func writeRunStats(source string, res *extract.Result, elapsed time.Duration) {
+func writeRunStats(source string, res *extract.Result, elapsed time.Duration) error {
 	if flagStatsJSON == "" {
-		return
+		return nil
 	}
 	s := runStats{
 		Source:       source,
@@ -79,16 +79,11 @@ func writeRunStats(source string, res *extract.Result, elapsed time.Duration) {
 		s.TilesTotal = t.TilesTotal
 		s.FileBytes = t.FileBytes
 	}
-	f, err := os.Create(flagStatsJSON)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		fatal(err)
-	}
+	return cli.WriteOutput(flagStatsJSON, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(s)
+	})
 }
 
 // printResourceStats appends the resource lines to a -stats dump: tile
@@ -123,19 +118,19 @@ func parseWindow(s string) (geom.Rect, error) {
 // wirelist, same diagnostics and exit taxonomy, but boxes stream off
 // the tile file's band (or window) iterators, so peak memory is the
 // tile working set rather than the chip.
-func runExtractTiles(out string, geometry, stats, profile bool) {
+func runExtractTiles(out string, geometry, stats, profile bool) int {
 	if flagHier || flagCacheDir != "" {
-		fatal(fmt.Errorf("-tiles is a flat-sweep source and does not combine with -hier or -cache-dir; use -window for windowed queries"))
+		return fail(fmt.Errorf("-tiles is a flat-sweep source and does not combine with -hier or -cache-dir; use -window for windowed queries"))
 	}
 	if flagLenient {
-		fatal(fmt.Errorf("-lenient applies to CIF parsing; a tile file is either intact or corrupt"))
+		return fail(fmt.Errorf("-lenient applies to CIF parsing; a tile file is either intact or corrupt"))
 	}
 	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("-tiles %s replaces the CIF input; unexpected argument %q", flagTiles, flag.Arg(0)))
+		return fail(fmt.Errorf("-tiles %s replaces the CIF input; unexpected argument %q", flagTiles, flag.Arg(0)))
 	}
 	r, err := tile.Open(flagTiles)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	defer r.Close()
 
@@ -150,28 +145,25 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 	t0 := time.Now()
 	var res *extract.Result
 	eng := extract.NewEngine()
-	once := func() {
+	var rect geom.Rect
+	if flagWindow != "" {
+		if rect, err = parseWindow(flagWindow); err != nil {
+			return fail(err)
+		}
+	}
+	for i := 0; i < max(flagRepeat, 1); i++ {
+		it0 := time.Now()
 		if flagWindow != "" {
-			rect, werr := parseWindow(flagWindow)
-			if werr != nil {
-				fatal(werr)
-			}
 			res, err = eng.TileWindow(ctx, r, rect, opt)
 		} else {
 			res, err = eng.TilesContext(ctx, r, opt)
 		}
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-	}
-	if flagRepeat > 1 {
-		for i := 0; i < flagRepeat; i++ {
-			it0 := time.Now()
-			once()
+		if flagRepeat > 1 {
 			recordIter(time.Since(it0))
 		}
-	} else {
-		once()
 	}
 	elapsed := time.Since(t0)
 
@@ -181,7 +173,7 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 	}
 	if flagCheck || flagDiagJSON {
 		if err := cli.RenderDiagnostics(flagTiles, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, w := range res.Warnings {
@@ -202,27 +194,15 @@ func runExtractTiles(out string, geometry, stats, profile bool) {
 			p := res.Phases
 			fmt.Printf("phases: frontend=%v insert=%v devices=%v output=%v total=%v\n",
 				p.FrontEnd, p.Insert, p.Devices, p.Output, p.Total)
-			writeRunStats("tiles", res, elapsed)
-			os.Exit(cli.Exit(&res.Diagnostics))
 		}
 	}
-
-	w := os.Stdout
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	if !stats && !(flagDiagJSON && out == "") {
-		if err := wirelist.Write(w, res.Netlist, wirelist.Options{Geometry: geometry}); err != nil {
-			fatal(err)
+	if !stats && !profile && !(flagDiagJSON && out == "") {
+		if err := writeWirelist(out, res.Netlist, geometry); err != nil {
+			return fail(err)
 		}
 	}
-	writeRunStats("tiles", res, elapsed)
-	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
-		os.Exit(code)
+	if err := writeRunStats("tiles", res, elapsed); err != nil {
+		return fail(err)
 	}
+	return cli.Exit(&res.Diagnostics)
 }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -108,11 +109,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer stop()
 
+	// Run functions return their exit code rather than calling os.Exit,
+	// so the profiles are written whatever the outcome.
+	code := cli.ExitOK
 	switch {
 	case *cacheVerify:
-		runCacheVerify(flagCacheDir)
+		code = runCacheVerify(flagCacheDir)
 	case *bench != "":
 		runBenchJSON(*bench)
 	case *table41:
@@ -122,12 +125,18 @@ func main() {
 	case *table52:
 		runTable52(*scale)
 	default:
-		runExtract(flag.Arg(0), *out, *hier, *stats)
+		code = runExtract(flag.Arg(0), *out, *hier, *stats)
 	}
+	stop()
+	os.Exit(code)
 }
 
 func fatal(err error) {
 	cli.Fatal("hext", err)
+}
+
+func fail(err error) int {
+	return cli.Fail("hext", err)
 }
 
 // runCacheVerify scans a persistent cache directory: every entry is
@@ -135,13 +144,13 @@ func fatal(err error) {
 // binding), damage is quarantined, and the process exits with the
 // corruption code when any entry failed — the ops-side integrity
 // check for a shared daemon cache.
-func runCacheVerify(dir string) {
+func runCacheVerify(dir string) int {
 	if dir == "" {
-		fatal(fmt.Errorf("-cache-verify requires -cache-dir"))
+		return fail(fmt.Errorf("-cache-verify requires -cache-dir"))
 	}
 	s, err := store.Open(dir, store.Options{MaxBytes: flagCacheMaxBytes})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	errs := s.VerifyAll()
 	for _, e := range errs {
@@ -153,16 +162,17 @@ func runCacheVerify(dir string) {
 	if len(errs) > 0 {
 		// Every failure from VerifyAll is corruption or unreadable I/O;
 		// classify through the shared taxonomy off the first error.
-		os.Exit(cli.ExitCodeFor(errs[0]))
+		return cli.ExitCodeFor(errs[0])
 	}
+	return cli.ExitOK
 }
 
-func runExtract(in, out string, hier, stats bool) {
+func runExtract(in, out string, hier, stats bool) int {
 	r := os.Stdin
 	if in != "" {
 		f, err := os.Open(in)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		r = f
@@ -183,7 +193,7 @@ func runExtract(in, out string, hier, stats bool) {
 		t0 := time.Now()
 		f, perr := cif.ParseReaderOpts(r, cif.ParseOptions{Limits: hopt.Limits, Lenient: hopt.Lenient, Diag: hopt.Diag})
 		if perr != nil {
-			fatal(perr)
+			return fail(perr)
 		}
 		parse := time.Since(t0)
 		s := hext.NewSession(hopt)
@@ -191,13 +201,13 @@ func runExtract(in, out string, hier, stats bool) {
 			it0 := time.Now()
 			res, err = s.ExtractContext(ctx, f)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			recordIter(time.Since(it0))
 		}
 		res.Timing.Parse = parse
 	} else if res, err = hext.ReaderContext(ctx, r, hopt); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if flagCheck {
 		res.Diagnostics.AddAll(check.Run(res.Netlist, check.Options{}))
@@ -208,7 +218,7 @@ func runExtract(in, out string, hier, stats bool) {
 		// The unified renderer covers warnings too; the legacy per-line
 		// warning echo would duplicate them.
 		if err := cli.RenderDiagnostics(in, &res.Diagnostics, flagDiagJSON, os.Stdout, os.Stderr); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	} else {
 		for _, w := range res.Warnings {
@@ -233,31 +243,22 @@ func runExtract(in, out string, hier, stats bool) {
 		gc := prof.CaptureGC().Delta(gcStart)
 		fmt.Printf("gc: cycles=%d pauseTotal=%v alloc=%d bytes heapInuse=%d bytes\n",
 			gc.NumGC, time.Duration(gc.PauseTotalNs), gc.TotalAlloc, gc.HeapInuse)
-		os.Exit(cli.Exit(&res.Diagnostics))
-	}
-	w := os.Stdout
-	if out != "" {
-		fo, err := os.Create(out)
-		if err != nil {
-			fatal(err)
-		}
-		defer fo.Close()
-		w = fo
+		return cli.Exit(&res.Diagnostics)
 	}
 	if !(flagDiagJSON && out == "") {
 		// With -diag-json the JSON report owns stdout; the wirelist is
 		// written only when -o directs it elsewhere.
-		if hier {
-			if err := res.WriteHierarchical(w); err != nil {
-				fatal(err)
+		err := cli.WriteOutput(out, func(w io.Writer) error {
+			if hier {
+				return res.WriteHierarchical(w)
 			}
-		} else if err := wirelist.Write(w, res.Netlist, wirelist.Options{}); err != nil {
-			fatal(err)
+			return wirelist.Write(w, res.Netlist, wirelist.Options{})
+		})
+		if err != nil {
+			return fail(err)
 		}
 	}
-	if code := cli.Exit(&res.Diagnostics); code != cli.ExitOK {
-		os.Exit(code)
-	}
+	return cli.Exit(&res.Diagnostics)
 }
 
 // runTable41 reproduces HEXT Table 4-1: the ideal N-cell square array.
@@ -316,11 +317,14 @@ func runTable41(maxN int) {
 }
 
 // runTable51 reproduces HEXT Table 5-1: per chip, HEXT front-end,
-// back-end and total versus flat ACE.
+// back-end and their sum (the paper's HEXT total, whose output is the
+// hierarchical wirelist) versus flat ACE. The flatten and end-to-end
+// columns add what producing the flat netlist costs on top, so the
+// end-to-end column is the like-for-like comparison with ACE.
 func runTable51(scale float64) {
 	fmt.Printf("HEXT Table 5-1 (synthetic stand-in chips, scale %.2f, %s)\n\n", scale, hostLine())
-	fmt.Printf("%-10s %9s %12s %12s %12s %12s\n",
-		"chip", "devices", "front-end", "back-end", "HEXT total", "ACE flat")
+	fmt.Printf("%-10s %9s %12s %12s %12s %12s %12s %12s\n",
+		"chip", "devices", "front-end", "back-end", "HEXT total", "flatten", "end-to-end", "ACE flat")
 	for _, name := range []string{"cherry", "dchip", "schip2", "testram", "psc", "riscb"} {
 		c, _ := gen.ChipByName(name)
 		w := c.Build(scale)
@@ -335,10 +339,11 @@ func runTable51(scale float64) {
 		}
 		flatT := time.Since(t0)
 
-		fe := res.Timing.FrontEnd
-		be := res.Timing.BackEnd()
-		fmt.Printf("%-10s %9d %12s %12s %12s %12s\n",
-			name, len(res.Netlist.Devices), roundU(fe), roundU(be), roundU(fe+be), roundU(flatT))
+		tm := res.Timing
+		fe, be := tm.FrontEnd, tm.BackEnd()
+		fmt.Printf("%-10s %9d %12s %12s %12s %12s %12s %12s\n",
+			name, len(res.Netlist.Devices), roundU(fe), roundU(be), roundU(fe+be),
+			roundU(tm.Flatten), roundU(tm.Total()), roundU(flatT))
 	}
 	fmt.Printf("\nPaper: testram 16x faster than flat; schip2/psc slower than flat (compose-bound).\n")
 }
@@ -381,5 +386,5 @@ func hextExtractTime(f *cif.File) time.Duration {
 func roundU(d time.Duration) string { return d.Round(10 * time.Microsecond).String() }
 
 func hostLine() string {
-	return fmt.Sprintf("go %s on %s/%s", runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	return fmt.Sprintf("%s on %s/%s, %d CPUs", runtime.Version(), runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
 }

@@ -189,6 +189,120 @@ func TestPersistentCacheSmoke(t *testing.T) {
 
 // TestExitCodeTaxonomy pins the shared exit-code contract of ace and
 // hext: 0 clean, 1 Error-severity diagnostics (or plain failure), 2
+
+// TestOutputFilesSmoke pins what the CLIs leave on disk: -stats never
+// opens, let alone truncates, the -o file; -o holds exactly the bytes
+// stdout would; and a -cpuprofile is written on every exit path,
+// including -stats, -phases-only and a non-zero findings exit.
+func TestOutputFilesSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go tool unavailable")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"ace", "hext", "cifgen"} {
+		out := filepath.Join(dir, name)
+		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
+		if b, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, b)
+		}
+		bins[name] = out
+	}
+	// run returns stdout and the exit code.
+	run := func(name string, args ...string) ([]byte, int) {
+		t.Helper()
+		cmd := exec.Command(bins[name], args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+		if code != 0 {
+			t.Logf("%s %v: exit %d\n%s", name, args, code, stderr.Bytes())
+		}
+		return stdout.Bytes(), code
+	}
+	out := filepath.Join(dir, "out")
+	cif := filepath.Join(dir, "chain.cif")
+	if _, code := run("cifgen", "-w", "chain", "-n", "3", "-o", cif); code != 0 {
+		t.Fatal("cifgen failed")
+	}
+	bad := filepath.Join(dir, "bad.cif")
+	if err := os.WriteFile(bad, []byte("DS 1 1 1;\nL ND;\nB 10 10 5 5\nB bogus;\nDF;\nC 1;\nE\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// -o is byte-identical to stdout.
+	for _, c := range [][]string{{"ace"}, {"ace", "-g"}, {"ace", "-hier"}, {"hext"}, {"hext", "-hier"}} {
+		args := append(c[1:], cif)
+		want, code := run(c[0], args...)
+		if code != 0 || len(want) == 0 {
+			t.Fatalf("%v: exit %d, %d bytes", c, code, len(want))
+		}
+		if _, code := run(c[0], append(c[1:], "-o", out, cif)...); code != 0 {
+			t.Fatalf("%v -o: exit %d", c, code)
+		}
+		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v -o: file differs from stdout (%v)\nfile:\n%s\nstdout:\n%s", c, err, got, want)
+		}
+	}
+
+	// -stats and -phases-only print a summary and leave -o alone.
+	const precious = "an earlier run's wirelist\n"
+	for _, c := range [][]string{{"ace", "-stats"}, {"ace", "-phases-only"}, {"ace", "-hier", "-stats"}, {"hext", "-stats"}} {
+		if err := os.WriteFile(out, []byte(precious), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if stdout, code := run(c[0], append(c[1:], "-o", out, cif)...); code != 0 || !bytes.Contains(stdout, []byte("devices=6")) {
+			t.Fatalf("%v -o: exit %d\n%s", c, code, stdout)
+		}
+		if got, err := os.ReadFile(out); err != nil || string(got) != precious {
+			t.Fatalf("%v -o clobbered the existing file: %q (%v)", c, got, err)
+		}
+	}
+
+	// The CPU profile is complete on every exit path.
+	prof := filepath.Join(dir, "cpu.pprof")
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{[]string{"hext", "-stats", cif}, 0},
+		{[]string{"hext", "-lenient", bad}, 1},
+		{[]string{"ace", "-stats", cif}, 0},
+		{[]string{"ace", "-phases-only", cif}, 0},
+		{[]string{"ace", "-lenient", bad}, 1},
+		{[]string{"ace", "-hier", "-lenient", bad}, 1},
+	} {
+		os.Remove(prof)
+		args := append([]string{"-cpuprofile", prof}, c.args[1:]...)
+		if _, code := run(c.args[0], args...); code != c.code {
+			t.Fatalf("%v: exit %d, want %d", c.args, code, c.code)
+		}
+		if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+			t.Fatalf("%v: CPU profile empty or missing (%v)", c.args, err)
+		}
+	}
+
+	// Atomic outputs leave no staging temporaries behind.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), ".tmp-") {
+			t.Fatalf("leftover temporary %s", e.Name())
+		}
+	}
+}
+
 // usage, 3 timeout, 4 resource budget.
 func TestExitCodeTaxonomy(t *testing.T) {
 	if testing.Short() {

@@ -14,6 +14,7 @@ import (
 	"ace/internal/guard"
 	"ace/internal/store"
 	"ace/internal/tile"
+	"ace/internal/vfs"
 )
 
 // Exit codes. Package flag already exits with 2 on a bad flag
@@ -80,8 +81,53 @@ func ExitCodeFor(err error) int {
 // Fatal prints "prog: err" to stderr and exits with the taxonomy code
 // for err.
 func Fatal(prog string, err error) {
+	os.Exit(Fail(prog, err))
+}
+
+// Fail prints "prog: err" to stderr and returns the taxonomy code for
+// err, for a command that hands its exit code back to main so that
+// deferred work, such as stopping a CPU profile, still runs.
+func Fail(prog string, err error) int {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	os.Exit(ExitCodeFor(err))
+	return ExitCodeFor(err)
+}
+
+// WriteOutput sends a command's -o output through write: to stdout
+// when path is empty, otherwise to an atomic file that replaces path
+// only once write and the commit succeed. A failed, full-disk or
+// killed run therefore never leaves a truncated or partial file at
+// path, and never touches a file it did not write. A path naming an
+// existing device or pipe, such as /dev/null, cannot be replaced by a
+// rename and is written in place.
+func WriteOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	if st, err := os.Stat(path); err == nil && !st.Mode().IsRegular() {
+		f, err := os.OpenFile(path, os.O_WRONLY, 0)
+		if err != nil {
+			return err
+		}
+		if err := write(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	af, err := vfs.NewAtomicFile(vfs.OS, path)
+	if err != nil {
+		return err
+	}
+	defer af.Abort()
+	if err := write(af); err != nil {
+		return err
+	}
+	// The staging temporary is private (0600); give the output the mode
+	// os.Create would under the usual umask.
+	if err := os.Chmod(af.TempName(), 0o644); err != nil {
+		return err
+	}
+	return af.Commit()
 }
 
 // RenderDiagnostics writes the diagnostics set in the shared format:

@@ -5,6 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -77,5 +80,42 @@ func TestRenderDiagnostics(t *testing.T) {
 	}
 	if textW.Len() != 0 || !strings.Contains(jsonW.String(), "\"diagnostics\"") {
 		t.Fatalf("json mode wrote to wrong stream: json %q text %q", jsonW.String(), textW.String())
+	}
+}
+
+func TestWriteOutput(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.wl")
+	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A failed write leaves the existing file and no temporary behind.
+	boom := errors.New("boom")
+	err := WriteOutput(path, func(w io.Writer) error {
+		io.WriteString(w, "partial")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "old" {
+		t.Fatalf("failed write changed the file to %q", b)
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+		t.Fatalf("failed write left %d entries, want 1", len(ents))
+	}
+	// A successful write replaces it whole, readable like os.Create's.
+	if err := WriteOutput(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "new" || st.Mode().Perm() != 0o644 {
+		t.Fatalf("got %q mode %v, want \"new\" mode 0644", b, st.Mode().Perm())
 	}
 }

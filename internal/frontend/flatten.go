@@ -721,12 +721,16 @@ func (fl *Flat) start(workers int, streams []*FlatStream, cuts []int64) {
 			if err := guard.Ctx(fl.ctx, guard.StageStamp); err != nil {
 				return err
 			}
-			if err := guard.Inject(guard.StageStamp); err != nil {
-				return err
-			}
 			oi := int(next.Add(1)) - 1
 			if oi >= len(order) {
 				return nil
+			}
+			// The failpoint counts claimed instances only, so its hit
+			// count is the instance count whatever the workers' timing:
+			// a worker that finds the queue empty, or sees the consumer
+			// already done, never reaches it.
+			if err := guard.Inject(guard.StageStamp); err != nil {
+				return err
 			}
 			i := order[oi]
 			run := fl.stampRun(&fl.insts[i])

@@ -928,7 +928,6 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Buil
 	cands *[]overlayCand) ([]int32, []int32) {
 	nl := r.leaf.nl
 	eff := off.Add(r.leaf.anchor)
-	b.ReserveNets(len(nl.Nets))
 	nets := make([]int32, len(nl.Nets))
 	for i := range nl.Nets {
 		nets[i] = b.NewNet(nl.Nets[i].Location.Add(eff))
@@ -951,7 +950,6 @@ func (e *env) flattenLeaf(r *winResult, off geom.Point, seq int64, b *build.Buil
 		partSlot[di] = slot
 	}
 	parts := make([]int32, len(r.leaf.partDevs))
-	b.ReserveDevs(len(nl.Devices))
 	for i := range nl.Devices {
 		d := &nl.Devices[i]
 		dv := b.NewDev()

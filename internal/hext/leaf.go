@@ -179,12 +179,21 @@ func contentKey(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point
 	return string(out)
 }
 
+// sweepHook, when non-nil, is called with +1 as each leaf sweep starts
+// and -1 as it ends, so tests can observe how many sweeps the DAG pool
+// runs at once. It is set only while no extraction is running.
+var sweepHook func(delta int)
+
 // runLeafSweep sweeps the content in anchored coordinates. The boxes
 // are put into a total order first (scan.SortTopDown), so the sweep's
 // output depends only on the content multiset — required for cached
 // results to be interchangeable with fresh ones regardless of the
 // order the window assembled its items in.
 func runLeafSweep(boxes []frontend.Box, labels []frontend.Label, anchor geom.Point, pool *scan.Pool) (*netlist.Netlist, []string) {
+	if sweepHook != nil {
+		sweepHook(+1)
+		defer sweepHook(-1)
+	}
 	shift := geom.Pt(-anchor.X, -anchor.Y)
 	ab := pool.GetBoxBuf()
 	for _, bx := range boxes {

@@ -5,6 +5,8 @@
 // surviving at the end of the sweep becomes the net's identity.
 package uf
 
+import "slices"
+
 // Forest is a union-find over dense integer ids allocated by Make.
 // The zero value is an empty forest ready for use.
 type Forest struct {
@@ -93,20 +95,12 @@ func (f *Forest32) Make() int32 {
 }
 
 // Reserve grows the forest's capacity so the next n Makes (or one
-// Grow(n)) allocate no memory. It never shrinks and never changes the
-// forest's contents.
+// Grow(n)) allocate no memory. Growth is amortised like append's, so a
+// run of small Reserves copies the forest O(log n) times, not once per
+// call. It never shrinks and never changes the forest's contents.
 func (f *Forest32) Reserve(n int) {
-	need := len(f.parent) + n
-	if cap(f.parent) < need {
-		parent := make([]int32, len(f.parent), need)
-		copy(parent, f.parent)
-		f.parent = parent
-	}
-	if cap(f.size) < need {
-		size := make([]int32, len(f.size), need)
-		copy(size, f.size)
-		f.size = size
-	}
+	f.parent = slices.Grow(f.parent, n)
+	f.size = slices.Grow(f.size, n)
 }
 
 // Grow allocates n fresh singletons at once and returns the first id.

@@ -156,3 +156,53 @@ func TestForest32Absorb(t *testing.T) {
 		t.Fatal("source forest modified")
 	}
 }
+
+// TestForest32ReserveAmortised pins Reserve's growth policy: a run of
+// n one-element Reserves each followed by a Make must reallocate the
+// arrays O(log n) times, as append does. Growing to exactly len+1
+// would copy the whole forest on every call, O(n²) in total.
+func TestForest32ReserveAmortised(t *testing.T) {
+	const n = 1 << 16
+	var f Forest32
+	reallocs := 0
+	for i := 0; i < n; i++ {
+		pc, sc := cap(f.parent), cap(f.size)
+		f.Reserve(1)
+		if cap(f.parent) != pc {
+			reallocs++
+		}
+		if cap(f.size) != sc {
+			reallocs++
+		}
+		if id := f.Make(); id != int32(i) {
+			t.Fatalf("Make = %d, want %d", id, i)
+		}
+	}
+	// Two arrays, each growing by at least 1.25× past small sizes:
+	// about 35 apiece for n = 2^16. Exact-size growth gives 2n.
+	if limit := 2 * 4 * 16; reallocs > limit {
+		t.Fatalf("%d Reserve(1)+Make calls reallocated %d times, want ≤ %d", n, reallocs, limit)
+	}
+	if f.Len() != n || f.Sets() != n || f.Find(n-1) != n-1 {
+		t.Fatalf("Len=%d Sets=%d after %d Makes", f.Len(), f.Sets(), n)
+	}
+}
+
+// TestForest32ReserveNoAlloc checks Reserve's contract: after
+// Reserve(k) the next k Makes never move the arrays.
+func TestForest32ReserveNoAlloc(t *testing.T) {
+	var f Forest32
+	f.Grow(10)
+	f.Union(3, 7)
+	f.Reserve(100)
+	p, s := &f.parent[:cap(f.parent)][0], &f.size[:cap(f.size)][0]
+	for i := 0; i < 100; i++ {
+		f.Make()
+	}
+	if &f.parent[0] != p || &f.size[0] != s {
+		t.Fatal("Makes after Reserve reallocated")
+	}
+	if !f.Same(3, 7) || f.Sets() != 109 {
+		t.Fatal("Reserve changed the forest's contents")
+	}
+}
