@@ -24,10 +24,12 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"ace/internal/cif"
+	"ace/internal/cli"
 	"ace/internal/gen"
 )
 
@@ -47,22 +49,13 @@ func main() {
 	flag.Parse()
 
 	if *target > 0 {
-		w := os.Stdout
-		if *out != "" {
-			fo, err := os.Create(*out)
-			if err != nil {
-				fatal(err)
-			}
-			defer fo.Close()
-			w = fo
-		}
-		bw := bufio.NewWriterSize(w, 1<<20)
-		info, err := gen.StreamChip(bw, gen.StreamSpec{
-			TargetBoxes: *target, CellBoxes: *cellBox, Flat: *flat,
+		var info gen.StreamInfo
+		err := writeOutput(*out, func(w io.Writer) (err error) {
+			info, err = gen.StreamChip(w, gen.StreamSpec{
+				TargetBoxes: *target, CellBoxes: *cellBox, Flat: *flat,
+			})
+			return err
 		})
-		if err == nil {
-			err = bw.Flush()
-		}
 		if err != nil {
 			fatal(err)
 		}
@@ -98,18 +91,22 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q", *workload))
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		fo, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer fo.Close()
-		w = fo
-	}
-	if err := cif.Write(w, f); err != nil {
+	if err := writeOutput(*out, func(w io.Writer) error { return cif.Write(w, f) }); err != nil {
 		fatal(err)
 	}
+}
+
+// writeOutput sends write's output to the -o path (stdout when empty)
+// through a 1 MiB buffer; the file replaces path only once everything
+// is written (see cli.WriteOutput).
+func writeOutput(path string, write func(io.Writer) error) error {
+	return cli.WriteOutput(path, func(w io.Writer) error {
+		bw := bufio.NewWriterSize(w, 1<<20)
+		if err := write(bw); err != nil {
+			return err
+		}
+		return bw.Flush()
+	})
 }
 
 func chipNames() string {

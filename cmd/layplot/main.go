@@ -5,14 +5,17 @@
 //
 //	layplot -o chip.png chip.cif
 //	layplot -net OUT -o out.png chip.cif   highlight one extracted net
+//	layplot -o '' chip.cif > chip.png       write the PNG to stdout
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ace/internal/cif"
+	"ace/internal/cli"
 	"ace/internal/extract"
 	"ace/internal/frontend"
 	"ace/internal/render"
@@ -20,7 +23,7 @@ import (
 
 func main() {
 	var (
-		out    = flag.String("o", "layout.png", "output PNG file")
+		out    = flag.String("o", "layout.png", "output PNG file (empty: stdout)")
 		maxDim = flag.Int("size", 1024, "longest image dimension in pixels")
 		net    = flag.String("net", "", "extract the design and highlight this net's geometry")
 	)
@@ -57,15 +60,14 @@ func main() {
 			opt.Highlight = append(opt.Highlight, g.Rect)
 		}
 	}
-	w, err := os.Create(*out)
-	if err != nil {
+	if err := cli.WriteOutput(*out, func(w io.Writer) error {
+		return render.WritePNG(w, stream.Drain(), opt)
+	}); err != nil {
 		fatal(err)
 	}
-	defer w.Close()
-	if err := render.WritePNG(w, stream.Drain(), opt); err != nil {
-		fatal(err)
+	if *out != "" {
+		fmt.Println("wrote", *out)
 	}
-	fmt.Println("wrote", *out)
 }
 
 func fatal(err error) {

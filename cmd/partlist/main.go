@@ -6,9 +6,11 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ace/internal/cif"
+	"ace/internal/cli"
 	"ace/internal/frontend"
 	"ace/internal/raster"
 	"ace/internal/wirelist"
@@ -53,16 +55,9 @@ func main() {
 			*grid, res.Counters.Rows, res.Counters.Cols, res.Counters.Squares)
 		return
 	}
-	w := os.Stdout
-	if *out != "" {
-		fo, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer fo.Close()
-		w = fo
-	}
-	if err := wirelist.Write(w, res.Netlist, wirelist.Options{}); err != nil {
+	if err := cli.WriteOutput(*out, func(w io.Writer) error {
+		return wirelist.Write(w, res.Netlist, wirelist.Options{})
+	}); err != nil {
 		fatal(err)
 	}
 }

@@ -203,7 +203,7 @@ func TestOutputFilesSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := map[string]string{}
-	for _, name := range []string{"ace", "hext", "cifgen"} {
+	for _, name := range []string{"ace", "hext", "cifgen", "partlist", "layplot"} {
 		out := filepath.Join(dir, name)
 		cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
 		if b, err := cmd.CombinedOutput(); err != nil {
@@ -239,18 +239,35 @@ func TestOutputFilesSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// -o is byte-identical to stdout.
-	for _, c := range [][]string{{"ace"}, {"ace", "-g"}, {"ace", "-hier"}, {"hext"}, {"hext", "-hier"}} {
-		args := append(c[1:], cif)
-		want, code := run(c[0], args...)
+	// -o is byte-identical to stdout. layplot writes a file by
+	// default and stdout under -o "".
+	for _, c := range [][]string{
+		{"ace"}, {"ace", "-g"}, {"ace", "-hier"}, {"hext"}, {"hext", "-hier"},
+		{"partlist"}, {"layplot", "-size", "64", "-o", ""},
+		{"cifgen", "-w", "chain", "-n", "3"}, {"cifgen", "-target-boxes", "2000"},
+	} {
+		flags, in := c[1:len(c):len(c)], []string{cif}
+		if c[0] == "cifgen" {
+			in = nil // generates its input
+		}
+		want, code := run(c[0], append(flags, in...)...)
 		if code != 0 || len(want) == 0 {
 			t.Fatalf("%v: exit %d, %d bytes", c, code, len(want))
 		}
-		if _, code := run(c[0], append(c[1:], "-o", out, cif)...); code != 0 {
+		if _, code := run(c[0], append(append(flags, "-o", out), in...)...); code != 0 {
 			t.Fatalf("%v -o: exit %d", c, code)
 		}
 		if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%v -o: file differs from stdout (%v)\nfile:\n%s\nstdout:\n%s", c, err, got, want)
+		}
+	}
+
+	// A failed write is a failed run.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		for _, c := range [][]string{{"partlist", cif}, {"layplot", cif}, {"cifgen", "-w", "chain"}, {"ace", cif}} {
+			if _, code := run(c[0], append([]string{"-o", "/dev/full"}, c[1:]...)...); code == 0 {
+				t.Fatalf("%v -o /dev/full: exit 0", c)
+			}
 		}
 	}
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ace/internal/gen"
+	"ace/internal/wirelist"
 )
 
 // warmCorpusSource loads one small corpus design for the parse-included
@@ -64,6 +65,35 @@ func TestWarmEngineAllocs(t *testing.T) {
 	if avg > warmAllocBudget {
 		t.Errorf("warm Engine extraction allocates %.1f allocs/op, budget %d — a pool stopped being used on the hot path",
 			avg, warmAllocBudget)
+	}
+}
+
+// TestWarmEngineAllocsWirelist adds the rendering a warm caller does
+// (aced, perfbench) to the warm extraction: wirelist.AppendTo into the
+// Engine's pooled output buffer. The encoder allocates nothing, so the
+// extraction's budget holds for the pair.
+func TestWarmEngineAllocsWirelist(t *testing.T) {
+	c, ok := gen.ChipByName(warmAllocChip)
+	if !ok {
+		t.Fatalf("no %s chip", warmAllocChip)
+	}
+	w := c.Build(warmAllocChipScale)
+	eng := NewEngine()
+	run := func() {
+		res, err := eng.File(w.File, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := wirelist.AppendTo(eng.GetOutBuf(), res.Netlist, wirelist.Options{})
+		eng.PutOutBuf(out)
+	}
+	for i := 0; i < warmAllocWarmupRuns; i++ {
+		run()
+	}
+	avg := testing.AllocsPerRun(10, run)
+	t.Logf("warm Engine + AppendTo: %.1f allocs/op (budget %d)", avg, warmAllocBudget)
+	if avg > warmAllocBudget {
+		t.Errorf("warm extraction plus wirelist rendering allocates %.1f allocs/op, budget %d", avg, warmAllocBudget)
 	}
 }
 

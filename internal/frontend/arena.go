@@ -124,6 +124,8 @@ func (s *Stream) reset() {
 	s.grid = 0
 	s.keepNG = false
 	s.heap = s.heap[:0]
+	s.slab = s.slab[:0]
+	s.free = s.free[:0]
 	s.labels = s.labels[:0]
 	s.stats = Stats{}
 	s.bbox = geom.Rect{}

@@ -86,7 +86,12 @@ type Stream struct {
 	grid   int64
 	keepNG bool
 
-	heap   []entry
+	// heap orders 16-byte keys over the entries in slab, so sifting
+	// moves keys rather than whole entries; free lists the slab's
+	// vacated slots for reuse.
+	heap   []heapKey
+	slab   []entry
+	free   []int32
 	labels []Label
 	stats  Stats
 	bbox   geom.Rect
@@ -117,12 +122,21 @@ const (
 	entryCall
 )
 
+// entry is a heap item's payload: a box, or a symbol call's symbol and
+// transform. Only the fields of its kind are meaningful.
 type entry struct {
-	top   int64
-	kind  entryKind
 	box   Box
 	sym   int
 	trans geom.Transform
+}
+
+// heapKey is an item's place in the heap: the top it is ordered by, the
+// slab slot holding its entry, and its kind, which NextTop reads
+// without a slab visit.
+type heapKey struct {
+	top  int64
+	slot int32
+	kind entryKind
 }
 
 // New builds a stream over the file's top cell. It returns an error if
@@ -182,11 +196,12 @@ func (s *Stream) Labels() []Label {
 	// Pull label-bearing calls out of the heap.
 	var queue []entry
 	w := 0
-	for _, e := range s.heap {
-		if e.kind == entryCall && s.hasLabels(e.sym) {
-			queue = append(queue, e)
+	for _, k := range s.heap {
+		if k.kind == entryCall && s.hasLabels(s.slab[k.slot].sym) {
+			queue = append(queue, s.slab[k.slot])
+			s.free = append(s.free, k.slot)
 		} else {
-			s.heap[w] = e
+			s.heap[w] = k
 			w++
 		}
 	}
@@ -280,7 +295,7 @@ func (s *Stream) Stats() Stats { return s.stats }
 func (s *Stream) NextTop() (int64, bool) {
 	for len(s.heap) > 0 && s.heap[0].kind == entryCall {
 		e := s.pop()
-		s.expand(e)
+		s.expand(e.sym, e.trans)
 	}
 	if len(s.heap) == 0 {
 		return 0, false
@@ -293,9 +308,8 @@ func (s *Stream) Next() (Box, bool) {
 	if _, ok := s.NextTop(); !ok {
 		return Box{}, false
 	}
-	e := s.pop()
 	s.stats.BoxesOut++
-	return e.box, true
+	return s.pop().box, true
 }
 
 // Drain returns all remaining boxes (mostly for tests and the
@@ -311,10 +325,9 @@ func (s *Stream) Drain() []Box {
 	}
 }
 
-func (s *Stream) expand(e entry) {
-	sym := s.syms[e.sym]
+func (s *Stream) expand(sym int, tr geom.Transform) {
 	s.stats.CellsExpanded++
-	s.pushItems(sym.Items, e.trans)
+	s.pushItems(s.syms[sym].Items, tr)
 }
 
 func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
@@ -352,16 +365,11 @@ func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
 				// order (the sweep requires it).
 				top = ceilToGrid(top, s.grid)
 			}
-			e := entry{
-				top:   top,
-				kind:  entryCall,
-				sym:   it.SymbolID,
-				trans: t,
-			}
 			if s.callSink != nil && s.hasLabels(it.SymbolID) {
-				*s.callSink = append(*s.callSink, e)
+				*s.callSink = append(*s.callSink, entry{sym: it.SymbolID, trans: t})
 			} else {
-				s.push(e)
+				e := s.push(top, entryCall)
+				e.sym, e.trans = it.SymbolID, t
 			}
 		case cif.ItemLabel:
 			s.labels = append(s.labels, Label{
@@ -381,53 +389,80 @@ func (s *Stream) pushBox(l tech.Layer, r geom.Rect) {
 	if l == tech.Glass && !s.keepNG {
 		return
 	}
-	s.push(entry{top: r.YMax, kind: entryBox, box: Box{Layer: l, Rect: r}})
+	s.push(r.YMax, entryBox).box = Box{Layer: l, Rect: r}
 }
 
 // ---- max-heap keyed by top ----
+//
+// The heap orders 16-byte keys and leaves the entries in place in the
+// slab. Sifting moves a hole rather than swapping, but makes exactly
+// the comparisons of a swapping binary heap, so items, ties included,
+// come out in the same order.
 
-func (s *Stream) push(e entry) {
-	s.heap = append(s.heap, e)
-	i := len(s.heap) - 1
+// push adds an item with the given top and kind and returns its slab
+// entry for the caller to fill. The pointer is valid until the next
+// push.
+func (s *Stream) push(top int64, kind entryKind) *entry {
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, entry{})
+	}
+	k := heapKey{top: top, slot: slot, kind: kind}
+	i := len(s.heap)
+	s.heap = append(s.heap, k)
 	for i > 0 {
 		p := (i - 1) / 2
-		if s.heap[p].top >= s.heap[i].top {
+		if s.heap[p].top >= top {
 			break
 		}
-		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
+		s.heap[i] = s.heap[p]
 		i = p
 	}
+	s.heap[i] = k
 	if len(s.heap) > s.stats.PeakHeap {
 		s.stats.PeakHeap = len(s.heap)
 	}
+	return &s.slab[slot]
 }
 
-func (s *Stream) pop() entry {
-	e := s.heap[0]
+// pop removes the top item, frees its slab slot and returns its entry.
+// The pointer is valid until the next push.
+func (s *Stream) pop() *entry {
+	slot := s.heap[0].slot
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]
 	s.siftDown(0)
-	return e
+	s.free = append(s.free, slot)
+	return &s.slab[slot]
 }
 
 func (s *Stream) siftDown(i int) {
 	n := len(s.heap)
+	if i >= n {
+		return
+	}
+	k := s.heap[i]
 	for {
 		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.heap[l].top > s.heap[m].top {
-			m = l
+		m, top := i, k.top
+		if l < n && s.heap[l].top > top {
+			m, top = l, s.heap[l].top
 		}
-		if r < n && s.heap[r].top > s.heap[m].top {
+		if r < n && s.heap[r].top > top {
 			m = r
 		}
 		if m == i {
-			return
+			break
 		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
+		s.heap[i] = s.heap[m]
 		i = m
 	}
+	s.heap[i] = k
 }
 
 func (s *Stream) fixHeap() {

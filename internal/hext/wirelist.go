@@ -1,6 +1,7 @@
 package hext
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -17,6 +18,10 @@ import (
 // Partial transistors use the (TPart …) extension: the original V085
 // format document is lost and Figure 2-2 shows no window-crossing
 // transistors, so the syntax for them is ours (DESIGN.md §6).
+//
+// Output goes through a 64 KiB buffer, so an unbuffered w (a file, a
+// pipe) sees a few large writes rather than one per token; the first
+// write or flush error is returned.
 func (r *Result) WriteHierarchical(w io.Writer) error {
 	if r.top == nil && len(r.hier) == 0 && r.hierStore != nil {
 		// Slim whole-result hit: the tree lives in the root window's
@@ -39,7 +44,8 @@ func (r *Result) WriteHierarchical(w io.Writer) error {
 		}
 		r.top, r.hier = top, nil
 	}
-	ew := &hw{w: w, done: map[int]bool{}}
+	bw := bufio.NewWriterSize(w, 64<<10)
+	ew := &hw{w: bw, done: map[int]bool{}}
 	ew.printf("(DefPart nEnh (Exports G S D))\n")
 	ew.printf("(DefPart nDep (Exports G S D))\n")
 	ew.printf("(DefPart nCap (Exports G S D))\n")
@@ -47,7 +53,10 @@ func (r *Result) WriteHierarchical(w io.Writer) error {
 		ew.emit(r.top)
 		ew.printf("(Part Window%d (Name Top))\n", r.top.id)
 	}
-	return ew.err
+	if ew.err != nil {
+		return ew.err
+	}
+	return bw.Flush()
 }
 
 // HierarchicalString renders the hierarchical wirelist to a string.

@@ -1,6 +1,8 @@
 package hext
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,4 +76,46 @@ func truncate(s string, n int) string {
 		return s
 	}
 	return s[:n] + "..."
+}
+
+// chunkWriter counts the writes reaching it, failing them all when
+// fail is set.
+type chunkWriter struct {
+	bytes.Buffer
+	calls int
+	fail  bool
+}
+
+var errChunk = errors.New("disk full")
+
+func (c *chunkWriter) Write(p []byte) (int, error) {
+	c.calls++
+	if c.fail {
+		return 0, errChunk
+	}
+	return c.Buffer.Write(p)
+}
+
+// TestWriteHierarchicalBuffered pins the hierarchical writer's I/O: an
+// unbuffered writer gets a few 64 KiB writes, not one per token, and a
+// failing writer's error comes back.
+func TestWriteHierarchicalBuffered(t *testing.T) {
+	c, _ := gen.ChipByName("testram")
+	res, err := Extract(c.Build(gen.BenchScale).File, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.HierarchicalString()
+	var w chunkWriter
+	if err := res.WriteHierarchical(&w); err != nil || w.String() != want {
+		t.Fatalf("WriteHierarchical: err %v, %d bytes, want %d identical bytes", err, w.Len(), len(want))
+	}
+	if max := len(want)/(64<<10) + 1; w.calls > max {
+		t.Fatalf("%d writes for %d bytes, want ≤ %d", w.calls, len(want), max)
+	}
+	// A design this size reaches w only through the final Flush, so
+	// this is the check that its error is not dropped.
+	if err := res.WriteHierarchical(&chunkWriter{fail: true}); !errors.Is(err, errChunk) {
+		t.Fatalf("failing writer: got %v, want %v", err, errChunk)
+	}
 }
