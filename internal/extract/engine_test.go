@@ -1,6 +1,8 @@
 package extract
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"ace/internal/gen"
+	"ace/internal/guard"
 	"ace/internal/wirelist"
 )
 
@@ -52,6 +55,52 @@ func TestEngineByteIdentical(t *testing.T) {
 						eng.PutOutBuf(out)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestEngineReusesAbandonedStream abandons the Engine's pooled
+// front-end stream mid-drain — an extraction cancelled after its first
+// scanline stop (or first drained chunk), and one stopped by its box
+// budget — and demands that the extractions that reuse the stream on
+// the same Engine give wirelists byte-identical to a cold run. A stream
+// whose queue floor or buckets survived the abandonment would reject or
+// misorder the next design's boxes.
+func TestEngineReusesAbandonedStream(t *testing.T) {
+	c, ok := gen.ChipByName("dchip")
+	if !ok {
+		t.Fatal("no dchip chip")
+	}
+	w := c.Build(0.25) // more boxes than one drainLimited chunk
+	cold, err := File(w.File, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseline := wirelist.Format(cold.Netlist, wirelist.Options{})
+	if cold.Counters.BoxesIn <= 4096 {
+		t.Fatalf("%d boxes: too few to abandon the bands path mid-drain", cold.Counters.BoxesIn)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opt := range []Options{{}, {Workers: 2}, {FlattenWorkers: 2}} {
+		eng := NewEngine()
+		for round := 0; round < 3; round++ {
+			if _, err := eng.FileContext(cancelled, w.File, opt); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%+v round %d: cancelled run err %v", opt, round, err)
+			}
+			lim := opt
+			lim.Limits = guard.Limits{MaxBoxes: 1000}
+			var le *guard.LimitError
+			if _, err := eng.File(w.File, lim); !errors.As(err, &le) {
+				t.Fatalf("%+v round %d: budgeted run err %v", opt, round, err)
+			}
+			res, err := eng.File(w.File, opt)
+			if err != nil {
+				t.Fatalf("%+v round %d: %v", opt, round, err)
+			}
+			if wirelist.Format(res.Netlist, wirelist.Options{}) != baseline {
+				t.Fatalf("%+v round %d: output after an abandoned stream diverged from cold", opt, round)
 			}
 		}
 	}

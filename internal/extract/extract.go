@@ -191,6 +191,11 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 	if err != nil {
 		return nil, err
 	}
+	// Whatever the path and however it ends, the stream goes back to
+	// the arena: everything kept from it is copied, and the next
+	// NewItems resets it, even after an extraction abandoned it
+	// mid-drain (cancellation, a budget, an error in the sweep).
+	defer e.feArena().PutStream(stream)
 
 	if opt.FlattenWorkers > 0 {
 		return flattenFile(e, ctx, f, stream, opt, t0)
@@ -228,9 +233,6 @@ func fileCtx(e *Engine, ctx context.Context, f *cif.File, opt Options, ds *diag.
 		Frontend: stream.Stats(),
 		Warnings: append(f.Warnings, sres.Warnings...),
 	}
-	// The stream is fully drained and everything kept is copied; its
-	// heap and label capacity can serve the next extraction.
-	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
 		fe := timed.spent
@@ -283,10 +285,9 @@ func parallelFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.
 		Frontend: stream.Stats(),
 		Warnings: append(f.Warnings, res.Warnings...),
 	}
-	// The materialised box list and the drained stream are dead once
-	// the sweep has finished (the Result copies what it keeps).
+	// The materialised box list is dead once the sweep has finished
+	// (the Result copies what it keeps).
 	pool.PutBoxBuf(boxes)
-	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
 		out.Phases.FrontEnd = fe
@@ -398,9 +399,8 @@ func flattenFile(e *Engine, ctx context.Context, f *cif.File, stream *frontend.S
 		Warnings: append(f.Warnings, res.Warnings...),
 	}
 	// Every stream is drained and the Result owns its data; the stamped
-	// runs and the label stream go back to the arena.
+	// runs go back to the arena.
 	fl.Release()
-	e.feArena().PutStream(stream)
 	out.Phases.Total = time.Since(t0)
 	if opt.Profile {
 		flatten, _, sortRuns := fl.Timing()

@@ -30,6 +30,8 @@ func FuzzExtract(f *testing.F) {
 	f.Add([]byte("DS 1 2 1;\nL ND; B 50 250 0 0;\nDF;\nC 1;\nC 1 T 300 0 MX;\nE\n"))
 	f.Add([]byte("DS 1 1 1;\nL NP; W 20 0 0 100 0 100 100;\nDF;\nDS 2 1 1;\nC 1;\nC 1 R 0 -1;\nDF;\nC 2;\n94 A 0 0 NP;\nE\n"))
 	f.Add([]byte("P 0 0 800 0 800 1800 400 2400;\nE"))
+	// A round flash whose bands alone would exhaust memory.
+	f.Add([]byte("L NP; R 900000000 0 0;"))
 	// Malformed seeds: the recovery corpus exercises every resync path.
 	malformed, _ := filepath.Glob(filepath.Join("..", "cif", "testdata", "malformed", "*.cif"))
 	for _, n := range malformed {

@@ -1,11 +1,14 @@
 package extract
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"ace/internal/cif"
+	"ace/internal/guard"
 )
 
 // TestDeepHierarchy: a 500-level chain of single-call symbols must
@@ -117,5 +120,45 @@ E
 	}
 	if _, err := File(f, Options{}); err == nil {
 		t.Fatal("expected the empty-design error")
+	}
+}
+
+// hugeDecompositions are a few bytes of CIF each describing one shape
+// that decomposes into ~10^8 grid bands: a round flash (the octagon
+// polygon), a diagonal polygon and a diagonal wire, at the top level
+// and inside a called symbol.
+var hugeDecompositions = []string{
+	"L NP; R 900000000 0 0;",
+	"L NP; P 0 0 10 900000000 20 0;",
+	"L NP; W 20 0 0 900000000 900000000;",
+	"DS 1; L NP; R 900000000 0 0; DF; C 1 R 0 1;",
+}
+
+// TestHugeDecompositionIsLimitError: under the budgets a service sets,
+// each front end must reject the shape with a *guard.LimitError before
+// allocating its bands; the process used to die with "fatal error: out
+// of memory", which no recover wrapper can catch.
+func TestHugeDecompositionIsLimitError(t *testing.T) {
+	lim := guard.Limits{MaxBoxes: 20000, MaxMemBytes: 16 << 20}
+	shapes := []Options{
+		{Limits: lim},
+		{Lenient: true, Limits: lim},
+		{Workers: 2, Limits: lim},
+		{FlattenWorkers: 2, Limits: lim},
+		{FlattenWorkers: 2, Workers: 2, Limits: lim},
+		{Limits: guard.Limits{MaxMemBytes: 16 << 20}},
+	}
+	for _, src := range hugeDecompositions {
+		for _, opt := range shapes {
+			t0 := time.Now()
+			_, err := String(src, opt)
+			var le *guard.LimitError
+			if !errors.As(err, &le) {
+				t.Fatalf("%q %+v: err %v, want *guard.LimitError", src, opt, err)
+			}
+			if d := time.Since(t0); d > time.Second {
+				t.Fatalf("%q %+v: rejected after %v, want under 1s", src, opt, d)
+			}
+		}
 	}
 }

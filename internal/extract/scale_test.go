@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ace/internal/gen"
+	"ace/internal/tile"
 	"ace/internal/wirelist"
 )
 
@@ -16,6 +17,36 @@ import (
 // Amortised growth gives ~2× per doubling; a per-box or per-net copy
 // of a growing structure shows as ~4×.
 func TestFlatAllocLinear(t *testing.T) {
+	checkAllocLinear(t, func(t *testing.T, w gen.Workload) func() (*Result, error) {
+		return func() (*Result, error) { return File(w.File, Options{Workers: 1}) }
+	})
+}
+
+// TestBandsAllocLinear is TestFlatAllocLinear for the band-parallel
+// path (`ace -workers 2`): the drained box list, the band partition
+// and the seam stitch must all grow linearly too.
+func TestBandsAllocLinear(t *testing.T) {
+	checkAllocLinear(t, func(t *testing.T, w gen.Workload) func() (*Result, error) {
+		return func() (*Result, error) { return File(w.File, Options{Workers: 2}) }
+	})
+}
+
+// TestTilesAllocLinear is TestFlatAllocLinear for the out-of-core path:
+// each chip is packed as cifpack packs it (outside the measurement),
+// then extracted from the tile file.
+func TestTilesAllocLinear(t *testing.T) {
+	checkAllocLinear(t, func(t *testing.T, w gen.Workload) func() (*Result, error) {
+		r := packFile(t, w.File, tile.DefaultGrid, tile.DefaultGrid)
+		return func() (*Result, error) { return Tiles(r, Options{}) }
+	})
+}
+
+// checkAllocLinear runs one extraction path over riscb, testram and
+// schip2 at scales 0.125, 0.25 and 0.5 and bounds the growth of the
+// bytes allocated by the extraction plus its wirelist rendering at
+// 2.5× per doubling. prepare does the path's unmeasured set-up and
+// returns the extraction to measure.
+func checkAllocLinear(t *testing.T, prepare func(*testing.T, gen.Workload) func() (*Result, error)) {
 	const maxRatio = 2.5
 	scales := []float64{0.125, 0.25, 0.5}
 	for _, name := range []string{"riscb", "testram", "schip2"} {
@@ -23,9 +54,10 @@ func TestFlatAllocLinear(t *testing.T) {
 		var prev uint64
 		for i, scale := range scales {
 			w := c.Build(scale)
+			extract := prepare(t, w)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			res, err := File(w.File, Options{Workers: 1})
+			res, err := extract()
 			var out []byte
 			if err == nil {
 				out, err = wirelist.AppendTo(nil, res.Netlist, wirelist.Options{})

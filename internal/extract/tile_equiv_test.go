@@ -7,6 +7,7 @@ import (
 
 	"ace/internal/cif"
 	"ace/internal/frontend"
+	"ace/internal/gen"
 	"ace/internal/geom"
 	"ace/internal/scan"
 	"ace/internal/tile"
@@ -196,6 +197,72 @@ func TestTiledCorruptFailsSoft(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		if _, err := Tiles(r, Options{Workers: workers}); err == nil {
 			t.Fatalf("workers=%d: corrupt tile file extracted without error", workers)
+		}
+	}
+}
+
+// TestEngineTilesWarmByteIdentical covers the warm tiled path: one
+// Engine runs Tiles, TilesContext and TileWindow over several designs,
+// round after round and interleaved, so pooled sweepers, builders and
+// tile decode arenas are reset from one shape into another. Every
+// wirelist must equal the cold Tiles/TileWindow output byte for byte.
+func TestEngineTilesWarmByteIdentical(t *testing.T) {
+	type job struct {
+		name       string
+		cold, warm *tile.Reader
+		win        geom.Rect
+	}
+	var jobs []job
+	designs := map[string]*cif.File{}
+	for _, name := range []string{"labels.cif", "polygons.cif", "wires.cif"} {
+		designs[name] = readCorpus(t, name)
+	}
+	for _, w := range gen.BenchChips()[:4] {
+		designs[w.Name] = w.File
+	}
+	for name, f := range designs {
+		cold := packFile(t, f, 8, 8)
+		bb := cold.BBox()
+		win := geom.Rect{XMin: bb.XMin + bb.W()/4, YMin: bb.YMin + bb.H()/4, XMax: bb.XMax - bb.W()/4, YMax: bb.YMax - bb.H()/4}
+		jobs = append(jobs, job{name, cold, packFile(t, f, 8, 8), win})
+	}
+	ctx := context.Background()
+	opts := []Options{{}, {Workers: 4}, {KeepGeometry: true}}
+	format := func(res *Result, err error, what string, opt Options) string {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %+v: %v", what, opt, err)
+		}
+		return wirelist.Format(res.Netlist, wirelist.Options{Geometry: opt.KeepGeometry})
+	}
+	type want struct{ whole, window string }
+	wants := map[string][]want{}
+	for _, j := range jobs {
+		for _, opt := range opts {
+			res, err := Tiles(j.cold, opt)
+			whole := format(res, err, j.name+" cold Tiles", opt)
+			res, err = TileWindow(ctx, j.cold, j.win, opt)
+			wants[j.name] = append(wants[j.name], want{whole, format(res, err, j.name+" cold TileWindow", opt)})
+		}
+	}
+	eng := NewEngine()
+	for round := 0; round < 3; round++ {
+		for _, j := range jobs {
+			for i, opt := range opts {
+				w := wants[j.name][i]
+				res, err := eng.Tiles(j.warm, opt)
+				if got := format(res, err, j.name+" warm Tiles", opt); got != w.whole {
+					t.Fatalf("%s %+v round %d: warm Tiles differs at byte %d", j.name, opt, round, diffPos(w.whole, got))
+				}
+				res, err = eng.TilesContext(ctx, j.warm, opt)
+				if got := format(res, err, j.name+" warm TilesContext", opt); got != w.whole {
+					t.Fatalf("%s %+v round %d: warm TilesContext differs at byte %d", j.name, opt, round, diffPos(w.whole, got))
+				}
+				res, err = eng.TileWindow(ctx, j.warm, j.win, opt)
+				if got := format(res, err, j.name+" warm TileWindow", opt); got != w.window {
+					t.Fatalf("%s %+v round %d: warm TileWindow differs at byte %d", j.name, opt, round, diffPos(w.window, got))
+				}
+			}
 		}
 	}
 }

@@ -4,10 +4,11 @@ import (
 	"sync"
 
 	"ace/internal/geom"
+	"ace/internal/guard"
 )
 
-// Arena owns the front end's reusable allocation state: lazy heap
-// Streams (their entry heaps, label lists and memo tables) and the box
+// Arena owns the front end's reusable allocation state: lazy Streams
+// (their queues, entry slabs, label lists and memo tables) and the box
 // buffers the pre-flattener stamps runs into. A long-lived caller
 // (extract.Engine) threads one Arena through Options.Arena so repeated
 // instantiation of same-shaped workloads stops allocating.
@@ -48,10 +49,11 @@ func (a *Arena) getStream() *Stream {
 	return s
 }
 
-// PutStream returns a consumed Stream's state to the arena. Every
-// slice the Stream handed out (Labels, Drain results already belong to
-// the caller) must be dead or copied; the next NewItems with this
-// arena reuses the backing memory.
+// PutStream returns a Stream's state to the arena, drained or not: a
+// Stream abandoned mid-drain is reset like any other. Every slice the
+// Stream handed out (Labels; Drain results already belong to the
+// caller) must be dead or copied; the next NewItems with this arena
+// reuses the backing memory.
 func (a *Arena) PutStream(s *Stream) {
 	if a == nil || s == nil {
 		return
@@ -123,7 +125,11 @@ func (s *Stream) reset() {
 	s.syms = nil
 	s.grid = 0
 	s.keepNG = false
-	s.heap = s.heap[:0]
+	for i := range s.buckets {
+		s.buckets[i] = s.buckets[i][:0]
+	}
+	s.floor = 0
+	s.queued = 0
 	s.slab = s.slab[:0]
 	s.free = s.free[:0]
 	s.labels = s.labels[:0]
@@ -135,4 +141,5 @@ func (s *Stream) reset() {
 	clear(s.impureMemo)
 	s.callSink = nil
 	s.banned = nil
+	s.limits = guard.Limits{}
 }

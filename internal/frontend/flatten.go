@@ -456,6 +456,15 @@ func (fl *Flat) appendImpure(out []Box, im impureItem, inst geom.Transform) []Bo
 		}
 		out = append(out, Box{Layer: l, Rect: r})
 	}
+	var bands int64
+	if im.isWire {
+		bands = im.wire.ApplyBands(full, fl.grid)
+	} else {
+		bands = im.poly.ApplyBands(full, fl.grid)
+	}
+	if err := fl.limits.CheckBands(guard.StageStamp, bands); err != nil {
+		guard.Abort(err) // every caller runs under a guard.Run worker
+	}
 	// Instances materialise concurrently, so each call draws its own
 	// decomposition scratch from the pool; emit copies every rect out
 	// before the scratch goes back.
@@ -835,7 +844,7 @@ func (fl *Flat) Release() {
 // Stats reports front-end counters for the flattened path, in the
 // legacy Stream's terms: BoxesOut counts design boxes delivered,
 // CellsExpanded counts instances stamped, NonManhattan counts deferred
-// polygon/wire stampings. PeakHeap is zero — there is no heap.
+// polygon/wire stampings. PeakQueue is zero — there is no queue.
 func (fl *Flat) Stats() Stats {
 	return Stats{
 		BoxesOut:      int(fl.boxesOut.Load()),

@@ -3,16 +3,18 @@
 // sorted from the top of the chip to the bottom — without ever
 // instantiating the whole chip at once.
 //
-// The sort uses a max-heap keyed by box top. Symbol calls sit in the
-// heap as single entries keyed by the top of their transformed
-// bounding box; a call is expanded one level only when the sweep
-// actually reaches it (ACE §4: "recursively expands only those cells
-// that intersect the current scanline"). A cell entirely below the
-// scanline therefore costs one heap entry, not its full contents.
+// The sort uses a monotone radix queue keyed by box top. Symbol calls
+// sit in the queue as single entries keyed by the top of their
+// transformed bounding box; a call is expanded one level only when the
+// sweep actually reaches it (ACE §4: "recursively expands only those
+// cells that intersect the current scanline"). A cell entirely below
+// the scanline therefore costs one queue entry, not its full contents.
+// Boxes that share a top come out in an unspecified order.
 package frontend
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ace/internal/cif"
 	"ace/internal/diag"
@@ -75,7 +77,7 @@ type Options struct {
 type Stats struct {
 	BoxesOut      int // boxes delivered to the back end
 	CellsExpanded int // symbol instances expanded
-	PeakHeap      int // maximum heap size reached
+	PeakQueue     int // maximum number of queued items
 	NonManhattan  int // polygons/wires/rotated boxes approximated
 }
 
@@ -86,22 +88,24 @@ type Stream struct {
 	grid   int64
 	keepNG bool
 
-	// heap orders 16-byte keys over the entries in slab, so sifting
-	// moves keys rather than whole entries; free lists the slab's
-	// vacated slots for reuse.
-	heap   []heapKey
-	slab   []entry
-	free   []int32
-	labels []Label
-	stats  Stats
-	bbox   geom.Rect
-	hasBB  bool
+	// buckets and floor are the radix queue (see push); its 16-byte
+	// keys point at entries in slab, and free lists the slab's vacated
+	// slots for reuse. queued counts the keys in all buckets.
+	buckets [65][]queueKey
+	floor   uint64
+	queued  int
+	slab    []entry
+	free    []int32
+	labels  []Label
+	stats   Stats
+	bbox    geom.Rect
+	hasBB   bool
 
 	// labelMemo caches per-symbol "subtree contains labels"; callSink,
-	// when set, diverts label-bearing calls from the heap during
+	// when set, diverts label-bearing calls from the queue during
 	// Labels()'s forced expansion. impureMemo caches per-symbol
 	// "subtree contains polygons or wires", which decides whether a
-	// call's heap key needs grid rounding (see pushItems).
+	// call's queue key needs grid rounding (see pushItems).
 	labelMemo  map[int]bool
 	impureMemo map[int]bool
 	callSink   *[]entry
@@ -109,6 +113,9 @@ type Stream struct {
 	// banned holds symbols whose calls lenient hierarchy validation
 	// dropped (cycles, excess depth); nil in strict mode.
 	banned map[int]bool
+
+	// limits bounds each polygon/wire decomposition (see checkBands).
+	limits guard.Limits
 
 	// geo is the polygon/wire decomposition scratch; a Stream is
 	// single-goroutine, and pooled Streams keep its grown capacity.
@@ -122,7 +129,7 @@ const (
 	entryCall
 )
 
-// entry is a heap item's payload: a box, or a symbol call's symbol and
+// entry is a queue item's payload: a box, or a symbol call's symbol and
 // transform. Only the fields of its kind are meaningful.
 type entry struct {
 	box   Box
@@ -130,10 +137,10 @@ type entry struct {
 	trans geom.Transform
 }
 
-// heapKey is an item's place in the heap: the top it is ordered by, the
-// slab slot holding its entry, and its kind, which NextTop reads
+// queueKey is an item's place in the queue: the top it is ordered by,
+// the slab slot holding its entry, and its kind, which NextTop reads
 // without a slab visit.
-type heapKey struct {
+type queueKey struct {
 	top  int64
 	slot int32
 	kind entryKind
@@ -147,8 +154,8 @@ func New(f *cif.File, opts Options) (*Stream, error) {
 }
 
 // NewItems builds a stream over an explicit item list (used by HEXT to
-// instantiate window contents). A panic while seeding the heap surfaces
-// as a *guard.PanicError attributed to the front end.
+// instantiate window contents). A panic while seeding the queue
+// surfaces as a *guard.PanicError attributed to the front end.
 func NewItems(items []cif.Item, syms map[int]*cif.Symbol, opts Options) (s *Stream, err error) {
 	defer guard.Recover(guard.StageFrontend, &err)
 	if err := guard.Inject(guard.StageFrontend); err != nil {
@@ -169,8 +176,9 @@ func NewItems(items []cif.Item, syms map[int]*cif.Symbol, opts Options) (s *Stre
 	s.grid = grid
 	s.keepNG = opts.KeepGlass
 	s.banned = banned
+	s.limits = opts.Limits
 	s.pushItems(items, geom.Identity)
-	if len(s.heap) == 0 && len(s.labels) == 0 {
+	if s.queued == 0 && len(s.labels) == 0 {
 		if !opts.Lenient {
 			return nil, fmt.Errorf("frontend: %w", guard.ErrNoGeometry)
 		}
@@ -193,26 +201,28 @@ func (s *Stream) BBox() geom.Rect { return s.bbox }
 // laziness is preserved for ordinary geometry (labels typically live
 // at the top level).
 func (s *Stream) Labels() []Label {
-	// Pull label-bearing calls out of the heap.
+	// Pull label-bearing calls out of the queue.
 	var queue []entry
-	w := 0
-	for _, k := range s.heap {
-		if k.kind == entryCall && s.hasLabels(s.slab[k.slot].sym) {
-			queue = append(queue, s.slab[k.slot])
-			s.free = append(s.free, k.slot)
-		} else {
-			s.heap[w] = k
-			w++
+	for i, b := range s.buckets {
+		w := 0
+		for _, k := range b {
+			if k.kind == entryCall && s.hasLabels(s.slab[k.slot].sym) {
+				queue = append(queue, s.slab[k.slot])
+				s.free = append(s.free, k.slot)
+			} else {
+				b[w] = k
+				w++
+			}
 		}
+		s.queued -= len(b) - w
+		s.buckets[i] = b[:w]
 	}
-	if w == len(s.heap) {
+	if len(queue) == 0 {
 		return s.labels // nothing to expand
 	}
-	s.heap = s.heap[:w]
-	s.fixHeap()
 
-	// Expand the queue iteratively; geometry goes back into the heap,
-	// label-bearing sub-calls stay in the queue.
+	// Expand the queue iteratively; geometry goes back into the radix
+	// queue, label-bearing sub-calls stay in the expansion queue.
 	for len(queue) > 0 {
 		e := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
@@ -293,14 +303,24 @@ func (s *Stream) Stats() Stats { return s.stats }
 
 // NextTop reports the top edge of the next box without consuming it.
 func (s *Stream) NextTop() (int64, bool) {
-	for len(s.heap) > 0 && s.heap[0].kind == entryCall {
-		e := s.pop()
+	for {
+		b := s.buckets[0]
+		if len(b) == 0 {
+			if !s.refill() {
+				return 0, false
+			}
+			continue
+		}
+		k := b[len(b)-1]
+		if k.kind == entryBox {
+			return k.top, true
+		}
+		s.buckets[0] = b[:len(b)-1]
+		s.queued--
+		s.free = append(s.free, k.slot)
+		e := &s.slab[k.slot]
 		s.expand(e.sym, e.trans)
 	}
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].top, true
 }
 
 // Next returns the next box in descending top order.
@@ -308,8 +328,13 @@ func (s *Stream) Next() (Box, bool) {
 	if _, ok := s.NextTop(); !ok {
 		return Box{}, false
 	}
+	b := s.buckets[0]
+	k := b[len(b)-1]
+	s.buckets[0] = b[:len(b)-1]
+	s.queued--
+	s.free = append(s.free, k.slot)
 	s.stats.BoxesOut++
-	return s.pop().box, true
+	return s.slab[k.slot].box, true
 }
 
 // Drain returns all remaining boxes (mostly for tests and the
@@ -337,12 +362,14 @@ func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
 			s.pushBox(it.Layer, tr.ApplyRect(it.Box))
 		case cif.ItemPolygon:
 			s.stats.NonManhattan++
+			s.checkBands(it.Poly.ApplyBands(tr, s.grid))
 			// pushBox copies each rect out before the scratch's next use.
 			for _, r := range it.Poly.ApplyManhattanize(&s.geo, tr, s.grid) {
 				s.pushBox(it.Layer, r)
 			}
 		case cif.ItemWire:
 			s.stats.NonManhattan++
+			s.checkBands(it.Wire.ApplyBands(tr, s.grid))
 			for _, r := range it.Wire.ApplyBoxes(&s.geo, tr, s.grid) {
 				s.pushBox(it.Layer, r)
 			}
@@ -360,7 +387,7 @@ func (s *Stream) pushItems(items []cif.Item, tr geom.Transform) {
 				// Manhattanisation rounds band tops up to the grid, so
 				// a polygon or wire in the subtree can produce boxes
 				// above the symbol's bounding box. Rounding the key up
-				// keeps the heap's invariant — children never outrank
+				// keeps the queue's invariant — children never outrank
 				// their call — so delivery stays in descending-top
 				// order (the sweep requires it).
 				top = ceilToGrid(top, s.grid)
@@ -392,17 +419,51 @@ func (s *Stream) pushBox(l tech.Layer, r geom.Rect) {
 	s.push(r.YMax, entryBox).box = Box{Layer: l, Rect: r}
 }
 
-// ---- max-heap keyed by top ----
+// checkBands aborts with a *guard.LimitError when one polygon or wire
+// would decompose into more grid bands than the box or memory budget
+// allows, before the decomposition allocates them.
+func (s *Stream) checkBands(n int64) {
+	if err := s.limits.CheckBands(guard.StageFrontend, n); err != nil {
+		guard.Abort(err)
+	}
+}
+
+// ---- monotone radix queue keyed by top ----
 //
-// The heap orders 16-byte keys and leaves the entries in place in the
-// slab. Sifting moves a hole rather than swapping, but makes exactly
-// the comparisons of a swapping binary heap, so items, ties included,
-// come out in the same order.
+// Keys are ordered by d = rev(top), which maps a higher top to a
+// smaller unsigned value. floor is the d of the last refill — the
+// current top — and a key lives in bucket bits.Len64(d ^ floor), so
+// bucket 0 holds exactly the keys at the current top and every other
+// bucket holds keys strictly below it. The queue is monotone: no key
+// may sort before the floor, which the front end guarantees because
+// children never outrank their call (see pushItems). Push is O(1); a
+// refill moves the first non-empty bucket's keys into lower buckets,
+// and a key moves down at most 64 times in its life.
+
+// revMask turns a top into its order-reversing queue value and back.
+const revMask = 1<<63 - 1
+
+// OrderError reports a push above the current floor: an item whose top
+// exceeds a top already delivered, which would break descending-top
+// delivery. It signals a broken front-end invariant, never bad input.
+type OrderError struct {
+	Top   int64 // the pushed item's top
+	Floor int64 // the top most recently reached
+}
+
+func (e *OrderError) Error() string {
+	return fmt.Sprintf("%s: internal error: item top %d above delivered top %d",
+		guard.StageFrontend, e.Top, e.Floor)
+}
 
 // push adds an item with the given top and kind and returns its slab
 // entry for the caller to fill. The pointer is valid until the next
 // push.
 func (s *Stream) push(top int64, kind entryKind) *entry {
+	d := uint64(top) ^ revMask
+	if d < s.floor {
+		guard.Abort(&OrderError{Top: top, Floor: int64(s.floor ^ revMask)})
+	}
 	var slot int32
 	if n := len(s.free); n > 0 {
 		slot = s.free[n-1]
@@ -411,62 +472,36 @@ func (s *Stream) push(top int64, kind entryKind) *entry {
 		slot = int32(len(s.slab))
 		s.slab = append(s.slab, entry{})
 	}
-	k := heapKey{top: top, slot: slot, kind: kind}
-	i := len(s.heap)
-	s.heap = append(s.heap, k)
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.heap[p].top >= top {
-			break
-		}
-		s.heap[i] = s.heap[p]
-		i = p
-	}
-	s.heap[i] = k
-	if len(s.heap) > s.stats.PeakHeap {
-		s.stats.PeakHeap = len(s.heap)
+	b := bits.Len64(d ^ s.floor)
+	s.buckets[b] = append(s.buckets[b], queueKey{top: top, slot: slot, kind: kind})
+	s.queued++
+	if s.queued > s.stats.PeakQueue {
+		s.stats.PeakQueue = s.queued
 	}
 	return &s.slab[slot]
 }
 
-// pop removes the top item, frees its slab slot and returns its entry.
-// The pointer is valid until the next push.
-func (s *Stream) pop() *entry {
-	slot := s.heap[0].slot
-	last := len(s.heap) - 1
-	s.heap[0] = s.heap[last]
-	s.heap = s.heap[:last]
-	s.siftDown(0)
-	s.free = append(s.free, slot)
-	return &s.slab[slot]
-}
-
-func (s *Stream) siftDown(i int) {
-	n := len(s.heap)
-	if i >= n {
-		return
+// refill advances the floor to the highest queued top and moves the
+// first non-empty bucket's keys down, so bucket 0 holds that top's
+// keys. It reports false when the queue is empty.
+func (s *Stream) refill() bool {
+	i := 1
+	for i < len(s.buckets) && len(s.buckets[i]) == 0 {
+		i++
 	}
-	k := s.heap[i]
-	for {
-		l, r := 2*i+1, 2*i+2
-		m, top := i, k.top
-		if l < n && s.heap[l].top > top {
-			m, top = l, s.heap[l].top
-		}
-		if r < n && s.heap[r].top > top {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s.heap[i] = s.heap[m]
-		i = m
+	if i == len(s.buckets) {
+		return false
 	}
-	s.heap[i] = k
-}
-
-func (s *Stream) fixHeap() {
-	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+	b := s.buckets[i]
+	floor := uint64(b[0].top) ^ revMask
+	for _, k := range b[1:] {
+		floor = min(floor, uint64(k.top)^revMask)
 	}
+	s.floor = floor
+	for _, k := range b {
+		j := bits.Len64(uint64(k.top) ^ revMask ^ floor)
+		s.buckets[j] = append(s.buckets[j], k)
+	}
+	s.buckets[i] = b[:0]
+	return true
 }

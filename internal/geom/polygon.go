@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -107,6 +108,34 @@ func (pg Polygon) ApplyManhattanize(sc *BoxScratch, t Transform, grid int64) []R
 	}
 	sc.poly = tp
 	return tp.manhattanizeInto(sc, grid)
+}
+
+// ApplyBands returns how many grid bands ApplyManhattanize(sc, t, grid)
+// sweeps — each band a row of rectangles it materialises before
+// merging. It allocates nothing, so a front end can check its budgets
+// before a tiny item describing a huge shape is decomposed.
+func (pg Polygon) ApplyBands(t Transform, grid int64) int64 {
+	if len(pg) < 3 {
+		return 0
+	}
+	if _, ok := pg.IsRect(); ok {
+		return 1 // transforms are orthogonal: a rectangle stays one
+	}
+	bb := t.ApplyRect(pg.BBox())
+	return bandsBetween(bb.YMin, bb.YMax, grid)
+}
+
+// bandsBetween counts the grid bands covering [lo, hi], saturating at
+// math.MaxInt64 where the difference overflows.
+func bandsBetween(lo, hi, grid int64) int64 {
+	if grid <= 0 {
+		grid = 1
+	}
+	n := ceilDiv(hi, grid) - floorDiv(lo, grid)
+	if n < 0 {
+		return math.MaxInt64
+	}
+	return n
 }
 
 // manhattanizeInto is Manhattanize drawing scratch from sc. The
@@ -234,6 +263,32 @@ func (w Wire) ApplyBoxes(sc *BoxScratch, t Transform, grid int64) []Rect {
 	}
 	sc.path = path
 	return Wire{Width: w.Width, Path: path}.boxesInto(sc, grid)
+}
+
+// ApplyBands bounds the rectangles ApplyBoxes(sc, t, grid)
+// materialises: one per axis-aligned segment (or for a lone point),
+// and for a diagonal segment the bands of its manhattanised quad plus
+// its two joint squares. Like Polygon.ApplyBands it allocates nothing.
+func (w Wire) ApplyBands(t Transform, grid int64) int64 {
+	if len(w.Path) == 0 || w.Width <= 0 {
+		return 0
+	}
+	n := int64(1)
+	for i := 0; i+1 < len(w.Path); i++ {
+		a, b := t.Apply(w.Path[i]), t.Apply(w.Path[i+1])
+		if a.X == b.X || a.Y == b.Y {
+			n++
+			continue
+		}
+		// The quad's corners sit at most width/2 above and below the
+		// segment's ends (see diagonalSegment).
+		k := bandsBetween(min64(a.Y, b.Y)-w.Width/2, max64(a.Y, b.Y)+w.Width/2, grid)
+		if k > math.MaxInt64-n-2 {
+			return math.MaxInt64
+		}
+		n += k + 2
+	}
+	return n
 }
 
 // boxesInto is Boxes drawing scratch from sc. The path may alias

@@ -1,6 +1,9 @@
 package guard
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Limits are the pipeline's resource budgets. The zero value of every
 // field means "unlimited" except MaxDepth, whose effective default is
@@ -10,9 +13,10 @@ import "fmt"
 //
 // The budgets are enforced where the memory is actually committed:
 //
-//   - MaxBoxes caps geometry items accepted by the CIF parser and
+//   - MaxBoxes caps geometry items accepted by the CIF parser,
 //     boxes entering a scanline sweep (Counters.BoxesIn), so a lazily
-//     instantiated bomb fails during the sweep, not after OOM.
+//     instantiated bomb fails during the sweep, not after OOM, and
+//     the grid bands one polygon or wire decomposes into (CheckBands).
 //   - MaxExpandedBoxes caps the boxes materialised by the
 //     pre-flattener's symbol arenas — the hierarchy-bomb guard: a
 //     10-level 100x fan-out fails fast while folding arenas instead of
@@ -62,6 +66,18 @@ func (l Limits) CheckBoxes(stage string, n int64) error {
 		return &LimitError{Stage: stage, What: "boxes", Value: n, Limit: l.MaxBoxes}
 	}
 	return nil
+}
+
+// CheckBands reports a LimitError when one polygon or wire would
+// decompose into n grid bands (geom's ApplyBands) beyond the MaxBoxes
+// or MaxMemBytes budget. Front ends check it before decomposing: the
+// bands are allocated before any box reaches the sweep's own checks,
+// so a few bytes of input could otherwise exhaust memory.
+func (l Limits) CheckBands(stage string, n int64) error {
+	if err := l.CheckBoxes(stage, n); err != nil {
+		return err
+	}
+	return l.CheckMem(stage, min(n, math.MaxInt64/BoxBytes)*BoxBytes)
 }
 
 // CheckExpanded reports a LimitError when n materialised boxes exceed

@@ -92,7 +92,8 @@ type Options struct {
 	Diag diag.Limits
 
 	// Limits carries the resource budgets enforced while parsing in
-	// Reader/ReaderContext (budgets always abort, even under Lenient).
+	// Reader/ReaderContext and on each polygon or wire the front end
+	// decomposes (budgets always abort, even under Lenient).
 	Limits guard.Limits
 }
 
@@ -333,6 +334,7 @@ func (s *Session) ExtractContext(ctx context.Context, f *cif.File) (res *Result,
 		memo:      s.memo,
 		nodes:     map[string]*dagNode{},
 		grid:      grid,
+		limits:    opt.Limits,
 		maxDepth:  maxDepth,
 		maxLeaf:   maxLeaf,
 		noMemo:    opt.DisableMemo,
@@ -486,6 +488,7 @@ type env struct {
 	nodes     map[string]*dagNode
 	nodeList  []*dagNode
 	grid      int64
+	limits    guard.Limits
 	maxDepth  int
 	maxLeaf   int
 	noMemo    bool

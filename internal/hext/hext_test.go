@@ -1,11 +1,15 @@
 package hext
 
 import (
+	"errors"
+	"strings"
 	"testing"
+	"time"
 
 	"ace/internal/cif"
 	"ace/internal/extract"
 	"ace/internal/gen"
+	"ace/internal/guard"
 	"ace/internal/netlist"
 )
 
@@ -222,5 +226,28 @@ func TestCountersAndTiming(t *testing.T) {
 	}
 	if hres.Timing.Total() <= 0 {
 		t.Fatal("no timing recorded")
+	}
+}
+
+// TestHugeDecompositionIsLimitError: a few bytes describing a shape of
+// ~10^8 grid bands must fail the plan with a *guard.LimitError before
+// the bands are allocated, at the top level and inside a call.
+func TestHugeDecompositionIsLimitError(t *testing.T) {
+	lim := guard.Limits{MaxBoxes: 20000, MaxMemBytes: 16 << 20}
+	for _, src := range []string{
+		"L NP; R 900000000 0 0;",
+		"L NP; W 20 0 0 900000000 900000000;",
+		"DS 1; L NP; R 900000000 0 0; DF; C 1 R 0 1;",
+		"DS 1; L NP; W 20 0 0 900000000 900000000; DF; C 1 T 5 5;",
+	} {
+		t0 := time.Now()
+		_, err := Reader(strings.NewReader(src), Options{Limits: lim})
+		var le *guard.LimitError
+		if !errors.As(err, &le) {
+			t.Fatalf("%q: err %v, want *guard.LimitError", src, err)
+		}
+		if d := time.Since(t0); d > time.Second {
+			t.Fatalf("%q: rejected after %v, want under 1s", src, d)
+		}
 	}
 }

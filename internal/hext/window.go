@@ -26,6 +26,7 @@ import (
 
 	"ace/internal/cif"
 	"ace/internal/geom"
+	"ace/internal/guard"
 	"ace/internal/tech"
 )
 
@@ -83,12 +84,14 @@ func (e *env) newTopWindow(top []cif.Item) (window, geom.Point, bool) {
 				name: it.Name, at: it.At, layer: it.Layer, hasLayer: it.HasLayer,
 			})
 		case cif.ItemPolygon:
+			e.checkBands(it.Poly.ApplyBands(geom.Identity, e.grid))
 			for _, r := range it.Poly.Manhattanize(e.grid) {
 				win.items = append(win.items, witem{
 					kind: cif.ItemBox, layer: it.Layer, box: r.Translate(geom.Pt(-origin.X, -origin.Y)),
 				})
 			}
 		case cif.ItemWire:
+			e.checkBands(it.Wire.ApplyBands(geom.Identity, e.grid))
 			for _, r := range it.Wire.Boxes(e.grid) {
 				win.items = append(win.items, witem{
 					kind: cif.ItemBox, layer: it.Layer, box: r.Translate(geom.Pt(-origin.X, -origin.Y)),
@@ -97,6 +100,15 @@ func (e *env) newTopWindow(top []cif.Item) (window, geom.Point, bool) {
 		}
 	}
 	return win, origin, true
+}
+
+// checkBands aborts the plan with a *guard.LimitError when one polygon
+// or wire would decompose into more grid bands than the budgets allow;
+// ExtractContext's recover wrapper returns it.
+func (e *env) checkBands(n int64) {
+	if err := e.limits.CheckBands(guard.StageHextPlan, n); err != nil {
+		guard.Abort(err)
+	}
 }
 
 // expandOne replaces every call in the window with its children
@@ -116,6 +128,7 @@ func (e *env) expandOne(win window) window {
 				r := it.trans.ApplyRect(sub.Box)
 				out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 			case cif.ItemPolygon:
+				e.checkBands(sub.Poly.ApplyBands(it.trans, e.grid))
 				for _, r := range sub.Poly.Apply(it.trans).Manhattanize(e.grid) {
 					out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 				}
@@ -124,6 +137,7 @@ func (e *env) expandOne(win window) window {
 				for i, p := range sub.Wire.Path {
 					w.Path[i] = it.trans.Apply(p)
 				}
+				e.checkBands(w.ApplyBands(geom.Identity, e.grid))
 				for _, r := range w.Boxes(e.grid) {
 					out.items = append(out.items, witem{kind: cif.ItemBox, layer: sub.Layer, box: r})
 				}

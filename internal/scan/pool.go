@@ -140,7 +140,7 @@ func (s *sweeper) reset(src Source, opt Options) {
 		s.newGeom[l] = s.newGeom[l][:0]
 	}
 	s.merged = s.merged[:0]
-	s.bottoms.v = s.bottoms.v[:0]
+	s.maxBot, s.haveBot = 0, false
 	s.prevPoly, s.prevDiff, s.prevMetal = s.prevPoly[:0], s.prevDiff[:0], s.prevMetal[:0]
 	s.prevChan = s.prevChan[:0]
 	s.rawPoly, s.rawDiff, s.rawMetal = s.rawPoly[:0], s.rawDiff[:0], s.rawMetal[:0]

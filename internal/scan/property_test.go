@@ -1,13 +1,17 @@
 package scan
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ace/internal/frontend"
+	"ace/internal/gen"
 	"ace/internal/geom"
 	"ace/internal/netlist"
 	"ace/internal/tech"
+	"ace/internal/wirelist"
 )
 
 func randomBoxes(rng *rand.Rand, n int) []frontend.Box {
@@ -176,6 +180,74 @@ func TestSameTopOrderInvariance(t *testing.T) {
 		after := mustSweep(t, boxes, Options{})
 		if eq, why := netlist.Equivalent(base, after); !eq {
 			t.Fatalf("trial %d: same-top order changed the circuit: %s", trial, why)
+		}
+	}
+}
+
+// TestTieShuffleByteIdentical pins the property the front end's
+// unspecified tie order rests on: shuffling the boxes that share a top
+// leaves the wirelist and warnings byte-identical, serial and
+// band-parallel, with and without geometry. It runs on random designs
+// with clustered tops and on every Table 5-1 chip at scale 0.05.
+func TestTieShuffleByteIdentical(t *testing.T) {
+	type design struct {
+		name   string
+		boxes  []frontend.Box
+		labels []frontend.Label
+	}
+	var designs []design
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20; trial++ {
+		boxes := randomBoxes(rng, 8+rng.Intn(400))
+		for i := range boxes {
+			r := &boxes[i].Rect
+			r.YMax = max(r.YMin+1, r.YMax/50*50)
+		}
+		slices.SortStableFunc(boxes, func(a, b frontend.Box) int { return int(b.Rect.YMax - a.Rect.YMax) })
+		designs = append(designs, design{name: "random", boxes: boxes})
+	}
+	for _, c := range gen.Chips {
+		s, err := frontend.New(c.Build(0.05).File, frontend.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		labels := s.Labels()
+		designs = append(designs, design{name: c.Name, boxes: s.Drain(), labels: labels})
+	}
+	render := func(boxes []frontend.Box, labels []frontend.Label, keep bool, workers int) []byte {
+		opt := Options{KeepGeometry: keep, Labels: labels}
+		res, err := ParallelSweep(slices.Clone(boxes), opt, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := wirelist.AppendTo(nil, res.Netlist, wirelist.Options{Geometry: keep})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range res.Warnings {
+			out = append(append(out, w...), '\n')
+		}
+		return out
+	}
+	for _, d := range designs {
+		shuffled := slices.Clone(d.boxes)
+		for i := 0; i < len(shuffled); {
+			j := i + 1
+			for j < len(shuffled) && shuffled[j].Rect.YMax == shuffled[i].Rect.YMax {
+				j++
+			}
+			run := shuffled[i:j]
+			rng.Shuffle(len(run), func(a, b int) { run[a], run[b] = run[b], run[a] })
+			i = j
+		}
+		for _, keep := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				want := render(d.boxes, d.labels, keep, workers)
+				if got := render(shuffled, d.labels, keep, workers); !bytes.Equal(got, want) {
+					t.Fatalf("%s (%d boxes) KeepGeometry=%v workers=%d: shuffling ties changed the wirelist",
+						d.name, len(d.boxes), keep, workers)
+				}
+			}
 		}
 	}
 }

@@ -24,8 +24,10 @@
 package scan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -161,7 +163,11 @@ type sweeper struct {
 	active  [tech.NumLayers][]abox
 	newGeom [tech.NumLayers][]abox // incoming boxes at the current stop
 	merged  []abox                 // scratch for merging newGeom into active
-	bottoms maxHeap                // bottoms of active boxes
+
+	// maxBot is the highest bottom among active boxes (valid when
+	// haveBot): raised as a stop's boxes arrive, recomputed by exit.
+	maxBot  int64
+	haveBot bool
 
 	// Previous strip cross-sections.
 	prevPoly, prevDiff, prevMetal []ival
@@ -272,12 +278,14 @@ func (s *sweeper) run() error {
 			if s.opt.InsertionSort {
 				s.insertOne(b.Layer, nb)
 			} else {
-				s.spliceNew(b.Layer, nb)
+				s.newGeom[b.Layer] = append(s.newGeom[b.Layer], nb)
 			}
-			s.bottoms.push(b.Rect.YMin)
+			if !s.haveBot || nb.bottom > s.maxBot {
+				s.maxBot, s.haveBot = nb.bottom, true
+			}
 		}
-		// Paper step 2.b: merge each newGeometry list into its layer's
-		// active list.
+		// Paper step 2.b: sort each newGeometry list and merge it into
+		// its layer's active list.
 		for l := range s.newGeom {
 			if len(s.newGeom[l]) > 0 {
 				s.mergeNew(tech.Layer(l))
@@ -289,12 +297,12 @@ func (s *sweeper) run() error {
 		if top, ok := s.src.NextTop(); ok {
 			next, haveNext = top, true
 		}
-		if bot, ok := s.bottoms.max(); ok {
-			if bot >= cur {
-				return fmt.Errorf("scan: internal error: active bottom %d not below scanline %d", bot, cur)
+		if s.haveBot {
+			if s.maxBot >= cur {
+				return fmt.Errorf("scan: internal error: active bottom %d not below scanline %d", s.maxBot, cur)
 			}
-			if !haveNext || bot > next {
-				next, haveNext = bot, true
+			if !haveNext || s.maxBot > next {
+				next, haveNext = s.maxBot, true
 			}
 		}
 		s.timing.Insert += time.Since(t0)
@@ -362,28 +370,15 @@ func (s *sweeper) insertOne(l tech.Layer, nb abox) {
 	s.active[l] = list
 }
 
-// spliceNew inserts one incoming box into its layer's newGeometry
-// list at the position sort.Search finds, keeping the list sorted by
-// x0 as it is built. Stop batches are small (a handful of boxes share
-// any one top), so the splice beats re-sorting the batch afterwards:
-// sort.Slice allocates a closure and pays interface-call overhead per
-// comparison, while the splice is a binary search plus one memmove.
-func (s *sweeper) spliceNew(l tech.Layer, nb abox) {
-	list := s.newGeom[l]
-	i := sort.Search(len(list), func(k int) bool { return list[k].x0 > nb.x0 })
-	list = append(list, abox{})
-	copy(list[i+1:], list[i:])
-	list[i] = nb
-	s.newGeom[l] = list
-}
-
-// mergeNew merges a layer's newGeometry list — kept x0-sorted by
-// spliceNew as it is built — into the layer's active list (also sorted
-// by x0). The paper uses an insertion sort here; merging the
-// pre-sorted batch is the bin-sort refinement §4 mentions ("the term
-// containing N^3/2 can be made linear by using bin-sort").
+// mergeNew sorts a layer's newGeometry list by x0 and merges it into
+// the layer's active list (also sorted by x0). The paper uses an
+// insertion sort here; sorting the stop's batch once and merging it is
+// the bin-sort refinement §4 mentions ("the term containing N^3/2 can
+// be made linear by using bin-sort"). Boxes with equal x0 may land in
+// any order: the strip algebra reads only the union of each layer.
 func (s *sweeper) mergeNew(l tech.Layer) {
 	nw := s.newGeom[l]
+	slices.SortFunc(nw, func(a, b abox) int { return cmp.Compare(a.x0, b.x0) })
 	old := s.active[l]
 	out := s.merged[:0]
 	i, j := 0, 0
@@ -404,8 +399,10 @@ func (s *sweeper) mergeNew(l tech.Layer) {
 	s.newGeom[l] = nw[:0]
 }
 
-// exit removes boxes whose bottom coincides with the scanline.
+// exit removes boxes whose bottom coincides with the scanline and, in
+// the same pass, finds the highest bottom among those that stay.
 func (s *sweeper) exit(y int64) {
+	s.haveBot = false
 	for l := range s.active {
 		list := s.active[l]
 		w := 0
@@ -413,11 +410,13 @@ func (s *sweeper) exit(y int64) {
 			if b.bottom != y {
 				list[w] = b
 				w++
+				if !s.haveBot || b.bottom > s.maxBot {
+					s.maxBot, s.haveBot = b.bottom, true
+				}
 			}
 		}
 		s.active[l] = list[:w]
 	}
-	s.bottoms.popEqual(y)
 }
 
 // strip processes the strip whose top is yTop and bottom is yBot.
@@ -700,54 +699,4 @@ func (s *sweeper) recordGeometry(yTop, yBot int64) {
 	rec(s.curMetal, tech.Metal)
 	rec(s.curPoly, tech.Poly)
 	rec(s.curDiff, tech.Diff)
-}
-
-// maxHeap is a binary max-heap of int64 values (active box bottoms).
-type maxHeap struct {
-	v []int64
-}
-
-func (h *maxHeap) push(x int64) {
-	h.v = append(h.v, x)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.v[p] >= h.v[i] {
-			break
-		}
-		h.v[p], h.v[i] = h.v[i], h.v[p]
-		i = p
-	}
-}
-
-func (h *maxHeap) max() (int64, bool) {
-	if len(h.v) == 0 {
-		return 0, false
-	}
-	return h.v[0], true
-}
-
-// popEqual removes all entries equal to x from the top of the heap.
-func (h *maxHeap) popEqual(x int64) {
-	for len(h.v) > 0 && h.v[0] == x {
-		last := len(h.v) - 1
-		h.v[0] = h.v[last]
-		h.v = h.v[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h.v) && h.v[l] > h.v[m] {
-				m = l
-			}
-			if r < len(h.v) && h.v[r] > h.v[m] {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			h.v[i], h.v[m] = h.v[m], h.v[i]
-			i = m
-		}
-	}
 }
